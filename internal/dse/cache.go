@@ -73,6 +73,26 @@ func (rc *ResultCache) Do(key string, run func() (sim.Result, error)) (res sim.R
 	return e.res, false, e.err
 }
 
+// Peek returns the completed result for key, counted as a hit, or false
+// when the key is absent or still in flight.
+func (rc *ResultCache) Peek(key string) (sim.Result, bool) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	e, ok := rc.entries[key]
+	if !ok {
+		return sim.Result{}, false
+	}
+	select {
+	case <-e.ready: // resident and ready means it succeeded: failures are removed first
+	default:
+		return sim.Result{}, false
+	}
+	rc.tick++
+	e.lastUse = rc.tick
+	rc.hits++
+	return e.res, true
+}
+
 // evictLocked drops least-recently-used completed entries until there is
 // room for one more; in-flight runs are never evicted (their waiters hold
 // the entry pointer).

@@ -36,6 +36,7 @@ type Job struct {
 	Grid  Grid
 	Cells []Cell
 
+	seq     int // submission number: the job's pool priority (lower first)
 	workers int // engine pool width, for the ETA forecast
 
 	mu       sync.Mutex
@@ -50,7 +51,6 @@ type Job struct {
 	points   []Point
 
 	// Progress/telemetry state (wall-clock; never merged into manifests).
-	// Per-cell wall times live in each phase's local slice (see runPhase).
 	started  time.Time
 	finished time.Time
 	ewmaMs   float64
@@ -137,7 +137,7 @@ type engineMetrics struct {
 	cellsDone       atomic.Uint64
 	sampledCells    atomic.Uint64
 	promotedCells   atomic.Uint64
-	workersBusy     atomic.Int64
+	jobsRunning     atomic.Int64
 
 	simCycles       atomic.Uint64
 	simInstructions atomic.Uint64
@@ -160,26 +160,54 @@ func (m *engineMetrics) addCellCounters(res sim.Result) {
 	m.ffSkipped.Add(uint64(res.Extra["ff.skipped_cycles"]))
 }
 
-// Engine is the sweep executor: a FIFO job queue drained by one
-// dispatcher that shards each job's cells across a bounded worker pool
-// (sized to runtime.NumCPU() by default) through the fingerprint-keyed
-// result cache. Jobs run one at a time, each using the full pool;
-// submissions during a run queue up behind it.
+// Engine is the sweep executor. One persistent pool of `workers`
+// goroutines (runtime.NumCPU() by default) drains a single priority queue
+// of cell tasks shared by every running job. Tasks leave the queue oldest
+// job first, then by phase, then by cell index, so a job running
+// alongside an older one delays it by at most the cells the workers had
+// already started.
+//
+// Submitted jobs wait in a FIFO queue until admitted; at most twice the
+// pool width run at once. Each admitted job runs its sweep (runSweep) in
+// its own goroutine: it resolves traces, queues its grid-phase cells,
+// and, on a sampled-first grid, queues the promoted full-fidelity cells
+// once the grid phase is done. Promoted cells keep the job's priority, so
+// they run ahead of any younger job's cells. Trace resolution, promotion
+// and the manifest merge run off the pool while other jobs' cells keep
+// the workers busy. Every cell goes through the fingerprint-keyed result
+// cache; a cell whose result is already cached completes in its job's
+// goroutine without waiting for a worker. Results, manifests and
+// frontiers are byte-identical to a serial RunGrid of the same grid.
+//
+// Finished jobs stay queryable until retainFinished newer jobs have
+// finished after them; an evicted job is unknown to Job and Subscribe.
 type Engine struct {
 	workers int
 	cache   *ResultCache
+	pool    *cellPool
+	retain  int // finished jobs kept in jobs (retainFinished)
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	seq    int
-	closed bool
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []string // ids of retained finished jobs, oldest first
+	seq      int
+	closed   bool
 
-	queue   chan *Job
+	queue   chan *Job     // submitted, not yet admitted
+	admit   chan struct{} // one slot per running job
 	drained chan struct{}
 	started atomic.Bool // dispatcher goroutine is live: the readiness gate
 
+	// cellHook, when set (tests only), is called on the worker before a
+	// cell runs.
+	cellHook func(job *Job, phase int, c Cell)
+
 	met engineMetrics
 }
+
+// retainFinished is how many finished jobs the engine keeps queryable.
+// Older ones are evicted, bounding memory on a long-lived server.
+const retainFinished = 256
 
 // NewEngine starts an engine with the given pool width (<= 0 means
 // runtime.NumCPU()) and result-cache capacity (<= 0 means
@@ -192,19 +220,44 @@ func NewEngine(workers, cacheSize int) *Engine {
 	e := &Engine{
 		workers: workers,
 		cache:   NewResultCache(cacheSize),
+		pool:    newCellPool(workers),
+		retain:  retainFinished,
 		jobs:    map[string]*Job{},
-		queue:   make(chan *Job, 256),
+		queue:   make(chan *Job, 256), // beyond this, Submit answers ErrQueueFull
+		// Two running jobs per worker: one feeding the worker cells while
+		// the other resolves traces, promotes or merges off the pool.
+		admit:   make(chan struct{}, 2*workers),
 		drained: make(chan struct{}),
 	}
 	e.met.cellMs = telemetry.NewSummary(5 * 60 * 1000)
-	go func() {
-		defer close(e.drained)
-		e.started.Store(true)
-		for job := range e.queue {
-			e.runJob(job)
-		}
-	}()
+	go e.dispatch()
 	return e
+}
+
+// dispatch admits queued jobs in submission order as running slots free
+// up. Once Close closes the queue it waits for every admitted job, then
+// stops the pool.
+func (e *Engine) dispatch() {
+	defer close(e.drained)
+	e.started.Store(true)
+	var running sync.WaitGroup
+	for {
+		e.admit <- struct{}{}
+		job, ok := <-e.queue
+		if !ok {
+			break
+		}
+		e.met.jobsRunning.Add(1)
+		running.Add(1)
+		go func() {
+			defer running.Done()
+			e.runJob(job)
+			e.met.jobsRunning.Add(-1)
+			<-e.admit
+		}()
+	}
+	running.Wait()
+	e.pool.close()
 }
 
 // Submit validates and expands the grid, enqueues the job, and returns it
@@ -224,6 +277,7 @@ func (e *Engine) Submit(g Grid) (*Job, error) {
 		ID:      fmt.Sprintf("sweep-%04d", e.seq),
 		Grid:    g.normalized(),
 		Cells:   cells,
+		seq:     e.seq,
 		workers: e.workers,
 		state:   StateQueued,
 	}
@@ -240,7 +294,8 @@ func (e *Engine) Submit(g Grid) (*Job, error) {
 	return job, nil
 }
 
-// Job returns the job with the given id.
+// Job returns the job with the given id; false for an unknown or evicted
+// id.
 func (e *Engine) Job(id string) (*Job, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -248,7 +303,7 @@ func (e *Engine) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs returns every accepted job sorted by id (submission order — ids
+// Jobs returns every retained job sorted by id (submission order — ids
 // are zero-padded sequence numbers). Backs GET /v1/sweeps.
 func (e *Engine) Jobs() []*Job {
 	e.mu.Lock()
@@ -264,11 +319,17 @@ func (e *Engine) Jobs() []*Job {
 // Workers returns the pool width the engine shards cells across.
 func (e *Engine) Workers() int { return e.workers }
 
-// QueueDepth returns the number of jobs waiting behind the dispatcher.
+// QueueDepth returns the number of jobs submitted but not yet admitted.
 func (e *Engine) QueueDepth() int { return len(e.queue) }
 
-// WorkersBusy returns how many pool slots are executing a cell right now.
-func (e *Engine) WorkersBusy() int { return int(e.met.workersBusy.Load()) }
+// JobsRunning returns the number of admitted jobs that have not finished.
+func (e *Engine) JobsRunning() int { return int(e.met.jobsRunning.Load()) }
+
+// CellsQueued returns the number of cells waiting for a pool worker.
+func (e *Engine) CellsQueued() int { return int(e.pool.queued.Load()) }
+
+// WorkersBusy returns how many pool workers are executing a cell right now.
+func (e *Engine) WorkersBusy() int { return int(e.pool.busy.Load()) }
 
 // Ready reports whether the engine is accepting and executing sweeps:
 // the dispatcher is up and Close has not begun. Backs GET /readyz —
@@ -291,27 +352,22 @@ func (e *Engine) CacheStats() (entries int, hits, misses uint64) {
 }
 
 // Close drains the engine: no new submissions are accepted, every already
-// accepted job runs to completion (in-flight cells are never abandoned,
-// and every SSE subscriber receives its job's terminal event before the
-// queue reports drained), and Close returns once the queue is empty. Safe
-// to call once.
+// accepted job — running or still queued — runs to completion (in-flight
+// cells are never abandoned, and every SSE subscriber receives its job's
+// terminal event), and Close returns once the pool has stopped. Safe to
+// call more than once.
 func (e *Engine) Close() {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		<-e.drained
-		return
+	if !e.closed {
+		e.closed = true
+		close(e.queue)
 	}
-	e.closed = true
-	close(e.queue)
 	e.mu.Unlock()
 	<-e.drained
 }
 
-// runJob executes one job's cells on the worker pool. A full-fidelity job
-// is a single phase; a sampled-first job runs every cell sampled, promotes
-// the PromoteSet survivors, re-runs those at full fidelity, and reports
-// only the full-fidelity points — the merged manifest keeps both phases.
+// runJob runs one admitted job's sweep on the pool and publishes its
+// terminal state.
 func (e *Engine) runJob(job *Job) {
 	job.mu.Lock()
 	job.state = StateRunning
@@ -320,132 +376,116 @@ func (e *Engine) runJob(job *Job) {
 	job.publishLocked(job.started)
 	job.mu.Unlock()
 
-	fail := func(format string, args ...interface{}) {
-		e.met.sweepsFailed.Add(1)
-		job.mu.Lock()
-		job.state = StateFailed
-		job.finished = time.Now()
-		job.errs = append(job.errs, fmt.Sprintf(format, args...))
-		job.publishLocked(job.finished)
-		job.mu.Unlock()
-	}
+	m, points, _, err := runSweep(job.Grid, job.Cells, func(phase int, cells []Cell, traceFPs map[string]uint64) ([]sim.Result, error) {
+		return e.runPhase(job, phase, cells, traceFPs)
+	})
 
-	// Resolve every workload trace once up front (through the process-wide
-	// singleflight trace cache) — the fingerprints key the result cache
-	// and the manifest provenance.
-	traceFPs := map[string]uint64{}
-	n := job.Grid.Warmup + job.Grid.Ops
-	for _, w := range job.Grid.sortedWorkloads() {
-		tr, err := sim.SharedTrace(w, n, job.Grid.Seed)
-		if err != nil {
-			fail("workload %s: %v", w, err)
-			return
-		}
-		traceFPs[w] = tr.Fingerprint()
-	}
-
-	results, err := e.runPhase(job, job.Cells, traceFPs)
-	if err != nil {
-		fail("%v", err)
-		return
-	}
-	points := make([]Point, len(results))
-	for i, r := range results {
-		points[i] = pointOf(job.Cells[i], r)
-	}
-
-	allCells, allResults := job.Cells, results
-	if job.Grid.Sampling != nil {
-		promoted := PromoteSet(points)
-		full := make([]Cell, len(promoted))
-		for i, idx := range promoted {
-			full[i] = job.Cells[idx].Promote()
-		}
-		e.met.sampledCells.Add(uint64(len(job.Cells)))
-		e.met.promotedCells.Add(uint64(len(full)))
-		job.mu.Lock()
-		job.sampled = len(job.Cells)
-		job.promoted = len(full)
-		job.total = len(job.Cells) + len(full)
-		job.publishLocked(time.Now())
-		job.mu.Unlock()
-
-		fullResults, err := e.runPhase(job, full, traceFPs)
-		if err != nil {
-			fail("%v", err)
-			return
-		}
-		points = make([]Point, len(full))
-		for i, r := range fullResults {
-			points[i] = pointOf(full[i], r)
-		}
-		allCells = append(append([]Cell(nil), job.Cells...), full...)
-		allResults = append(append([]sim.Result(nil), results...), fullResults...)
-	}
-
-	m, err := MergeCells(allCells, allResults, traceFPs)
-	if err != nil {
-		fail("merge: %v", err)
-		return
-	}
-	e.met.sweepsDone.Add(1)
 	job.mu.Lock()
-	job.manifest = m
-	job.points = points
-	job.state = StateDone
 	job.finished = time.Now()
+	if err != nil {
+		e.met.sweepsFailed.Add(1)
+		job.state = StateFailed
+		job.errs = append(job.errs, err.Error())
+	} else {
+		e.met.sweepsDone.Add(1)
+		job.state = StateDone
+		job.manifest = m
+		job.points = points
+	}
 	job.publishLocked(job.finished)
 	job.mu.Unlock()
+	e.retire(job)
 }
 
-// runPhase shards one phase's cells across the pool through the result
-// cache and returns their results in cell order.
-func (e *Engine) runPhase(job *Job, cells []Cell, traceFPs map[string]uint64) ([]sim.Result, error) {
-	simCells := make([]sim.Cell, len(cells))
-	for i, c := range cells {
-		spec, err := c.Spec()
-		if err != nil {
-			return nil, err
-		}
-		simCells[i] = sim.Cell{App: c.Workload, Model: c.Model, Index: i, Spec: spec}
+// retire records a terminal job (its terminal event already published)
+// and evicts the oldest finished jobs beyond the retention bound.
+func (e *Engine) retire(job *Job) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.finished = append(e.finished, job.ID)
+	for len(e.finished) > e.retain {
+		delete(e.jobs, e.finished[0])
+		e.finished = e.finished[1:]
 	}
+}
 
-	cellMs := make([]float64, len(cells))
-	runFn := func(sc sim.Cell) (sim.Result, error) {
-		e.met.workersBusy.Add(1)
-		defer e.met.workersBusy.Add(-1)
-		c := cells[sc.Index]
-		cellStart := time.Now()
-		res, hit, err := e.cache.Do(c.CacheKey(traceFPs[c.Workload]), func() (sim.Result, error) {
-			return sim.Run(sc.Spec)
-		})
-		ms := float64(time.Since(cellStart)) / float64(time.Millisecond)
-		cellMs[sc.Index] = ms // safe: one writer per index, read after completion
-		e.met.cellMs.Observe(ms)
-		if hit {
-			job.mu.Lock()
-			job.hits++
-			job.mu.Unlock()
-		} else if err == nil {
-			e.met.addCellCounters(res)
-		}
-		return res, err
-	}
-	onCell := func(r sim.CellResult) {
-		e.met.cellsDone.Add(1)
+// runPhase queues one phase's cells on the pool at the job's priority,
+// waits for all of them and returns their results in cell order. Every
+// cell runs through the result cache; one whose result is already there
+// completes at once without taking a worker.
+func (e *Engine) runPhase(job *Job, phase int, cells []Cell, traceFPs map[string]uint64) ([]sim.Result, error) {
+	if phase == phasePromoted {
+		e.met.sampledCells.Add(uint64(len(job.Cells)))
+		e.met.promotedCells.Add(uint64(len(cells)))
 		job.mu.Lock()
-		job.done++
-		job.observeCellLocked(cellMs[r.Cell.Index])
+		job.sampled = len(job.Cells)
+		job.promoted = len(cells)
+		job.total = len(job.Cells) + len(cells)
 		job.publishLocked(time.Now())
 		job.mu.Unlock()
 	}
-	cellResults := sim.RunCells(simCells, e.workers, runFn, onCell)
-	if err := sim.JoinCellErrors(cellResults); err != nil {
+	simCells, err := simCellsOf(cells)
+	if err != nil {
 		return nil, err
 	}
-	results := make([]sim.Result, len(cellResults))
-	for i, r := range cellResults {
-		results[i] = r.Result
+	out := make([]sim.CellResult, len(cells))
+	var (
+		wg    sync.WaitGroup
+		tasks []cellTask
+	)
+	for i, c := range cells {
+		key := c.CacheKey(traceFPs[c.Workload])
+		// A finished result needs no worker: serve it here, so a cached
+		// cell never waits behind older jobs' cells.
+		if res, ok := e.cache.Peek(key); ok {
+			out[i] = sim.CellResult{Cell: simCells[i], Result: res}
+			e.cellDone(job, time.Now(), true, out[i])
+			continue
+		}
+		wg.Add(1)
+		tasks = append(tasks, cellTask{job: job.seq, phase: phase, index: i, run: func() {
+			defer wg.Done()
+			out[i] = e.runCell(job, phase, c, simCells[i], key)
+		}})
 	}
-	return results, nil
+	e.pool.push(tasks...)
+	wg.Wait()
+	return resultsOf(out)
+}
+
+// runCell executes one cell on a pool worker through the result cache.
+func (e *Engine) runCell(job *Job, phase int, c Cell, sc sim.Cell, key string) sim.CellResult {
+	if e.cellHook != nil {
+		e.cellHook(job, phase, c)
+	}
+	start := time.Now()
+	hit := false
+	r := sim.RunCell(sc, func(sc sim.Cell) (sim.Result, error) {
+		res, h, err := e.cache.Do(key, func() (sim.Result, error) {
+			return sim.Run(sc.Spec)
+		})
+		hit = h
+		return res, err
+	})
+	e.cellDone(job, start, hit, r)
+	return r
+}
+
+// cellDone folds one completed cell, started at start, into the job's
+// progress and the service counters.
+func (e *Engine) cellDone(job *Job, start time.Time, hit bool, r sim.CellResult) {
+	ms := float64(time.Since(start)) / float64(time.Millisecond)
+	e.met.cellMs.Observe(ms)
+	if !hit && r.Err == nil {
+		e.met.addCellCounters(r.Result)
+	}
+	e.met.cellsDone.Add(1)
+	job.mu.Lock()
+	if hit {
+		job.hits++
+	}
+	job.done++
+	job.observeCellLocked(ms)
+	job.publishLocked(time.Now())
+	job.mu.Unlock()
 }

@@ -2,6 +2,10 @@ package dse
 
 import (
 	"bytes"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,7 +221,8 @@ func TestSubmitRejectsBadGrid(t *testing.T) {
 }
 
 // The result cache's singleflight: concurrent requests for one key run
-// the simulation once; the joiner reports a hit.
+// the simulation once; the joiner reports a hit. Peek serves only a
+// completed entry.
 func TestResultCacheSingleflight(t *testing.T) {
 	rc := NewResultCache(8)
 	started := make(chan struct{})
@@ -236,6 +241,9 @@ func TestResultCacheSingleflight(t *testing.T) {
 		first <- out{hit, res}
 	}()
 	<-started
+	if _, ok := rc.Peek("k"); ok {
+		t.Error("Peek served an in-flight entry")
+	}
 	second := make(chan out)
 	go func() {
 		res, hit, _ := rc.Do("k", func() (sim.Result, error) {
@@ -251,5 +259,332 @@ func TestResultCacheSingleflight(t *testing.T) {
 	}
 	if !b.hit || b.res.Instructions != 7 {
 		t.Errorf("joiner: %+v", b)
+	}
+	if res, ok := rc.Peek("k"); !ok || res.Instructions != 7 {
+		t.Errorf("Peek after completion = %+v, %v", res, ok)
+	}
+	if _, hits, _ := rc.Stats(); hits != 2 {
+		t.Errorf("hits = %d, want 2 (the joiner and the Peek)", hits)
+	}
+}
+
+// waitFor polls cond until it holds; false if it still fails after a
+// minute.
+func waitFor(cond func() bool) bool {
+	for deadline := time.Now().Add(time.Minute); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
+}
+
+// queuedCells counts the cells of the job with submission number seq
+// waiting in the pool queue.
+func (e *Engine) queuedCells(seq int) int {
+	e.pool.mu.Lock()
+	defer e.pool.mu.Unlock()
+	n := 0
+	for _, t := range e.pool.tasks {
+		if t.job == seq {
+			n++
+		}
+	}
+	return n
+}
+
+// assertMatchesSerial checks a finished job's manifest is byte-identical
+// to a serial RunGrid of its grid.
+func assertMatchesSerial(t *testing.T, j *Job) {
+	t.Helper()
+	if st := waitJob(t, j); st.State != StateDone {
+		t.Fatalf("job %s failed: %+v", j.ID, st)
+	}
+	m, _ := j.Manifest()
+	serial, _, err := RunGrid(j.Grid, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeManifest(t, serial), encodeManifest(t, m)) {
+		t.Errorf("job %s manifest is not byte-identical to the serial run", j.ID)
+	}
+}
+
+// TestJobsOverlap: a younger job runs and finishes on a worker the older
+// job leaves idle while the older job is still running, and both
+// manifests stay byte-identical to serial runs.
+func TestJobsOverlap(t *testing.T) {
+	e := NewEngine(2, 0)
+	defer e.Close()
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	var held atomic.Bool
+	// Hold the older job's first promoted cell: the older job stays
+	// running while the other worker is free for the younger job.
+	e.cellHook = func(j *Job, phase int, _ Cell) {
+		if j.seq == 1 && phase == phasePromoted && held.CompareAndSwap(false, true) {
+			<-release
+		}
+	}
+	older, err := e.Submit(sampledGrid("mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	younger, err := e.Submit(testGrid([]string{"ino", "casino"}, nil, "milc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, younger); st.State != StateDone {
+		t.Fatalf("younger job failed: %+v", st)
+	}
+	if st := older.Snapshot(); st.State != StateRunning {
+		t.Errorf("older job %s when the younger finished, want running", st.State)
+	}
+	once.Do(func() { close(release) })
+	assertMatchesSerial(t, older)
+	assertMatchesSerial(t, younger)
+}
+
+// TestOlderPromotedCellsRunFirst: on one worker, an older job's promoted
+// full-fidelity cells run before a younger job's sampled cells that were
+// queued earlier. Only the one cell the worker took while the older job
+// was promoting may run in between.
+func TestOlderPromotedCellsRunFirst(t *testing.T) {
+	e := NewEngine(1, 0)
+	defer e.Close()
+	type start struct{ seq, phase int }
+	var (
+		mu      sync.Mutex
+		starts  []start
+		o       *Job // the older job; set before the younger is submitted
+		reached = make(chan struct{})
+	)
+	ranPromoted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		n := 0
+		for _, s := range starts {
+			if s.seq == 1 && s.phase == phasePromoted {
+				n++
+			}
+		}
+		return n
+	}
+	e.cellHook = func(j *Job, phase int, _ Cell) {
+		mu.Lock()
+		first := len(starts) == 0
+		starts = append(starts, start{j.seq, phase})
+		mu.Unlock()
+		switch {
+		case first:
+			// Hold the older job's first cell until every sampled cell
+			// of the younger job is queued.
+			close(reached)
+			if !waitFor(func() bool { return e.queuedCells(2) == 3 }) {
+				t.Error("younger job's cells never queued")
+			}
+		case j.seq == 2:
+			// A younger cell taken while the older job promotes: let the
+			// promotion land in the queue before this cell completes.
+			queued := waitFor(func() bool {
+				st := o.Snapshot()
+				return st.State != StateRunning ||
+					st.PromotedCells > 0 && ranPromoted()+e.queuedCells(1) == st.PromotedCells
+			})
+			if !queued {
+				t.Error("older job's promoted cells never queued")
+			}
+		}
+	}
+	o, err := e.Submit(sampledGrid("mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-reached
+	y, err := e.Submit(sampledGrid("gcc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, o)
+	waitJob(t, y)
+
+	mu.Lock()
+	defer mu.Unlock()
+	firstP, lastP := -1, -1
+	for i, s := range starts {
+		if s.seq == 1 && s.phase == phasePromoted {
+			if firstP < 0 {
+				firstP = i
+			}
+			lastP = i
+		}
+	}
+	if firstP < 0 {
+		t.Fatalf("older job promoted nothing: %v", starts)
+	}
+	before, after := 0, 0
+	for i, s := range starts {
+		if s.seq != 2 || s.phase != phaseGrid {
+			continue
+		}
+		switch {
+		case i < firstP:
+			before++
+		case i < lastP:
+			t.Errorf("younger sampled cell ran among the older job's promoted cells: %v", starts)
+		default:
+			after++
+		}
+	}
+	if before > 1 || after == 0 {
+		t.Errorf("younger sampled cells: %d before, %d after the older job's promoted cells, want <= 1 and > 0: %v",
+			before, after, starts)
+	}
+	assertMatchesSerial(t, o)
+	assertMatchesSerial(t, y)
+}
+
+// TestCloseDrainsQueuedJobs: Close finishes every admitted and every
+// still-queued job, and each subscriber receives exactly one terminal
+// event, as its last.
+func TestCloseDrainsQueuedJobs(t *testing.T) {
+	e := NewEngine(1, 0) // admits two jobs at a time
+	gate := make(chan struct{})
+	var held atomic.Bool
+	e.cellHook = func(*Job, int, Cell) {
+		if held.CompareAndSwap(false, true) {
+			<-gate
+		}
+	}
+	var (
+		jobs []*Job
+		wg   sync.WaitGroup
+	)
+	for _, app := range []string{"mcf", "milc", "gcc", "lbm"} {
+		j, err := e.Submit(testGrid([]string{"ino"}, nil, app))
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+		for k := 0; k < 2; k++ {
+			ch, cancel, ok := e.Subscribe(j.ID)
+			if !ok {
+				t.Fatalf("subscribe %s failed", j.ID)
+			}
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				defer cancel()
+				terminals, n, lastTerminal := 0, 0, false
+				for p := range ch {
+					n++
+					lastTerminal = p.Terminal()
+					if lastTerminal {
+						terminals++
+					}
+				}
+				if terminals != 1 || !lastTerminal {
+					t.Errorf("subscriber of %s: %d events, %d terminal, last terminal %v", id, n, terminals, lastTerminal)
+				}
+			}(j.ID)
+		}
+	}
+	if !waitFor(func() bool { return e.JobsRunning() == 2 && e.QueueDepth() == 2 }) {
+		t.Fatalf("want two jobs admitted and two queued: %d running, %d queued", e.JobsRunning(), e.QueueDepth())
+	}
+	closed := make(chan struct{})
+	go func() {
+		e.Close()
+		close(closed)
+	}()
+	waitFor(e.Draining)
+	if _, err := e.Submit(testGrid([]string{"ino"}, nil, "mcf")); err == nil {
+		t.Error("Submit during drain succeeded")
+	}
+	close(gate)
+	<-closed
+	wg.Wait()
+	for _, j := range jobs {
+		if st := j.Snapshot(); st.State != StateDone {
+			t.Errorf("job %s %s after Close", j.ID, st.State)
+		}
+	}
+	if e.JobsRunning() != 0 || e.QueueDepth() != 0 || e.CellsQueued() != 0 {
+		t.Errorf("after Close: %d running, %d queued jobs, %d queued cells",
+			e.JobsRunning(), e.QueueDepth(), e.CellsQueued())
+	}
+}
+
+// TestEvictionSparesRunningJobsAndCache: once more finished jobs exist
+// than the engine retains, the oldest finished one answers 404, while a
+// running job and the result cache are untouched.
+func TestEvictionSparesRunningJobsAndCache(t *testing.T) {
+	e := NewEngine(2, 0)
+	defer e.Close()
+	e.retain = 1
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	e.cellHook = func(j *Job, _ int, _ Cell) {
+		if j.seq == 2 {
+			<-release
+		}
+	}
+	ts := httptest.NewServer(NewServer(e))
+	defer ts.Close()
+	get := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	gridA := testGrid([]string{"ino"}, nil, "mcf")
+	a, err := e.Submit(gridA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, a)
+	running, err := e.Submit(testGrid([]string{"casino"}, nil, "mcf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := e.Submit(testGrid([]string{"ino"}, nil, "milc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitJob(t, c)
+	if !waitFor(func() bool { _, ok := e.Job(a.ID); return !ok }) {
+		t.Fatalf("job %s still retained after a newer job finished", a.ID)
+	}
+	for _, path := range []string{"", "/progress", "/events", "/manifest"} {
+		if code := get("/v1/sweeps/" + a.ID + path); code != http.StatusNotFound {
+			t.Errorf("GET evicted %s%s = %d, want 404", a.ID, path, code)
+		}
+	}
+	if code := get("/v1/sweeps/" + c.ID); code != http.StatusOK {
+		t.Errorf("GET newest finished job = %d, want 200", code)
+	}
+	if st := running.Snapshot(); st.State != StateRunning {
+		t.Errorf("running job %s during eviction, want running", st.State)
+	}
+	if _, ok := e.Job(running.ID); !ok {
+		t.Error("running job was evicted")
+	}
+	if entries, _, _ := e.CacheStats(); entries != 2 {
+		t.Errorf("result cache holds %d entries, want 2 (the finished jobs' cells)", entries)
+	}
+
+	once.Do(func() { close(release) })
+	assertMatchesSerial(t, running)
+	again, err := e.Submit(gridA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitJob(t, again); st.CacheHits != st.CellsTotal {
+		t.Errorf("resubmitted evicted grid: %+v, want every cell a cache hit", st)
 	}
 }

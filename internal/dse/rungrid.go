@@ -1,6 +1,8 @@
 package dse
 
 import (
+	"fmt"
+
 	"casino/internal/manifest"
 	"casino/internal/sim"
 )
@@ -45,16 +47,6 @@ func RunGridStats(g Grid, workers int, onCell func(done, total int)) (*manifest.
 	if err != nil {
 		return nil, nil, SweepStats{}, err
 	}
-	ng := g.normalized()
-	traceFPs := map[string]uint64{}
-	for _, w := range ng.sortedWorkloads() {
-		tr, err := sim.SharedTrace(w, ng.Warmup+ng.Ops, ng.Seed)
-		if err != nil {
-			return nil, nil, SweepStats{}, err
-		}
-		traceFPs[w] = tr.Fingerprint()
-	}
-
 	done, total := 0, len(cells)
 	observe := func(sim.CellResult) {
 		done++
@@ -62,28 +54,64 @@ func RunGridStats(g Grid, workers int, onCell func(done, total int)) (*manifest.
 			onCell(done, total)
 		}
 	}
+	return runSweep(g.normalized(), cells, func(phase int, cells []Cell, _ map[string]uint64) ([]sim.Result, error) {
+		if phase == phasePromoted {
+			total += len(cells)
+		}
+		simCells, err := simCellsOf(cells)
+		if err != nil {
+			return nil, err
+		}
+		return resultsOf(sim.RunCells(simCells, workers, nil, observe))
+	})
+}
 
-	results, err := runCellList(cells, workers, observe)
+// Sweep phases, in execution order (and in pool priority order).
+const (
+	phaseGrid     = iota // every expanded cell, sampled on a sampled-first grid
+	phasePromoted        // the PromoteSet survivors re-run at full fidelity
+)
+
+// phaseRunner executes one phase's cells and returns their results in
+// cell order. traceFPs carries the fingerprint of every workload's trace.
+type phaseRunner func(phase int, cells []Cell, traceFPs map[string]uint64) ([]sim.Result, error)
+
+// runSweep is the one sweep driver behind RunGrid and the engine. It
+// resolves every workload trace once (through the process-wide
+// singleflight trace cache; the fingerprints key the result cache and the
+// manifest provenance), runs the grid phase and, on a sampled-first grid,
+// the promoted phase (always called, possibly with no cells), then merges
+// both phases into the manifest. g must be normalized; cells is its
+// expansion. Points come from the last phase only.
+func runSweep(g Grid, cells []Cell, run phaseRunner) (*manifest.Manifest, []Point, SweepStats, error) {
+	var stats SweepStats
+	traceFPs := map[string]uint64{}
+	for _, w := range g.sortedWorkloads() {
+		tr, err := sim.SharedTrace(w, g.Warmup+g.Ops, g.Seed)
+		if err != nil {
+			return nil, nil, stats, fmt.Errorf("workload %s: %w", w, err)
+		}
+		traceFPs[w] = tr.Fingerprint()
+	}
+
+	results, err := run(phaseGrid, cells, traceFPs)
 	if err != nil {
-		return nil, nil, SweepStats{}, err
+		return nil, nil, stats, err
 	}
 	points := make([]Point, len(results))
 	for i, r := range results {
 		points[i] = pointOf(cells[i], r)
 	}
 
-	var stats SweepStats
 	allCells, allResults := cells, results
 	if g.Sampling != nil {
 		promoted := PromoteSet(points)
-		stats.SampledCells = len(cells)
-		stats.PromotedCells = len(promoted)
 		full := make([]Cell, len(promoted))
 		for i, idx := range promoted {
 			full[i] = cells[idx].Promote()
 		}
-		total += len(full)
-		fullResults, err := runCellList(full, workers, observe)
+		stats = SweepStats{SampledCells: len(cells), PromotedCells: len(full)}
+		fullResults, err := run(phasePromoted, full, traceFPs)
 		if err != nil {
 			return nil, nil, stats, err
 		}
@@ -97,14 +125,14 @@ func RunGridStats(g Grid, workers int, onCell func(done, total int)) (*manifest.
 
 	m, err := MergeCells(allCells, allResults, traceFPs)
 	if err != nil {
-		return nil, nil, stats, err
+		return nil, nil, stats, fmt.Errorf("merge: %w", err)
 	}
 	return m, points, stats, nil
 }
 
-// runCellList runs one phase's cells through the sharded cell runner and
-// collects their results in cell order.
-func runCellList(cells []Cell, workers int, observe func(sim.CellResult)) ([]sim.Result, error) {
+// simCellsOf resolves each cell's spec into a sim.Cell indexed by its
+// position in the phase.
+func simCellsOf(cells []Cell) ([]sim.Cell, error) {
 	simCells := make([]sim.Cell, len(cells))
 	for i, c := range cells {
 		spec, err := c.Spec()
@@ -113,7 +141,12 @@ func runCellList(cells []Cell, workers int, observe func(sim.CellResult)) ([]sim
 		}
 		simCells[i] = sim.Cell{App: c.Workload, Model: c.Model, Index: i, Spec: spec}
 	}
-	cellResults := sim.RunCells(simCells, workers, nil, observe)
+	return simCells, nil
+}
+
+// resultsOf unwraps positional cell results, failing with every failed
+// cell named.
+func resultsOf(cellResults []sim.CellResult) ([]sim.Result, error) {
 	if err := sim.JoinCellErrors(cellResults); err != nil {
 		return nil, err
 	}

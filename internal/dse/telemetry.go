@@ -14,9 +14,11 @@ import (
 // Instrument inventory (see DESIGN.md "Service telemetry"):
 //
 //	casino_cell_wall_time_ms        summary: per-cell wall time, p50/p90/p99
-//	casino_engine_queue_depth       gauge:   sweeps queued behind the dispatcher
+//	casino_engine_queue_depth       gauge:   sweeps submitted, not yet admitted
+//	casino_engine_jobs_running      gauge:   admitted sweeps not yet finished
+//	casino_engine_cells_queued      gauge:   cells waiting for a pool worker
 //	casino_engine_workers           gauge:   pool width
-//	casino_engine_workers_busy      gauge:   pool slots executing a cell now
+//	casino_engine_workers_busy      gauge:   pool workers executing a cell now
 //	casino_engine_worker_utilization gauge:  busy/width, 0..1
 //	casino_sweeps_submitted_total   counter: accepted submissions
 //	casino_sweeps_completed_total   counter: by terminal state {state="done"|"failed"}
@@ -39,13 +41,19 @@ func NewTelemetry(e *Engine) *telemetry.Registry {
 		"Wall time per completed sweep cell in milliseconds (cache hits included).",
 		e.met.cellMs)
 	r.GaugeFunc("casino_engine_queue_depth",
-		"Sweep jobs queued behind the dispatcher.",
+		"Sweep jobs submitted but not yet admitted to the pool.",
 		func() float64 { return float64(e.QueueDepth()) })
+	r.GaugeFunc("casino_engine_jobs_running",
+		"Sweep jobs admitted and not yet finished.",
+		func() float64 { return float64(e.JobsRunning()) })
+	r.GaugeFunc("casino_engine_cells_queued",
+		"Sweep cells waiting in the pool's oldest-job-first queue.",
+		func() float64 { return float64(e.CellsQueued()) })
 	r.GaugeFunc("casino_engine_workers",
 		"Worker pool width cells are sharded across.",
 		func() float64 { return float64(e.Workers()) })
 	r.GaugeFunc("casino_engine_workers_busy",
-		"Pool slots currently executing a cell.",
+		"Pool workers currently executing a cell.",
 		func() float64 { return float64(e.WorkersBusy()) })
 	r.GaugeFunc("casino_engine_worker_utilization",
 		"Fraction of the worker pool currently busy (0..1).",

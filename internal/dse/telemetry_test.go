@@ -93,6 +93,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	for _, want := range []string{
 		"casino_cell_wall_time_ms", "casino_engine_queue_depth",
+		"casino_engine_jobs_running", "casino_engine_cells_queued",
 		"casino_engine_workers ", "casino_engine_workers_busy",
 		"casino_engine_worker_utilization", "casino_sweeps_submitted_total",
 		`casino_sweeps_completed_total{state="done"}`,
@@ -284,13 +285,17 @@ func TestSSEStream(t *testing.T) {
 	ts := httptest.NewServer(NewServer(e))
 	defer ts.Close()
 
-	// The dispatcher runs jobs serially: a heavier blocker job submitted
-	// first holds the target job in the queue, guaranteeing the stream
-	// attaches before the target turns terminal — so the subscription
-	// observes the queued → running → done trajectory, not just the
-	// late-subscriber terminal snapshot.
+	// The pool runs the oldest job's cells first. The target is submitted
+	// only once a heavier blocker's cells occupy every worker, so the
+	// target's cells queue behind the blocker's remaining ones and the
+	// stream attaches before the target turns terminal — the
+	// subscription observes the queued → running → done trajectory, not
+	// just the late-subscriber terminal snapshot.
 	blocker := `{"models":["casino","specino"],"workloads":["mcf"],"ops":60000,"warmup":15000,"seed":1,"geometries":[[2,1],[4,2],[8,4]]}`
 	submitGrid(t, ts.URL, blocker)
+	for e.WorkersBusy() < e.Workers() {
+		time.Sleep(time.Millisecond)
+	}
 	sub := submitGrid(t, ts.URL, gridTwoByTwo)
 	resp, err := http.Get(ts.URL + sub.StatusURL + "/events")
 	if err != nil {

@@ -47,9 +47,6 @@ func RunCells(cells []Cell, workers int, runFn func(Cell) (Result, error), onCel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if runFn == nil {
-		runFn = func(c Cell) (Result, error) { return Run(c.Spec) }
-	}
 	out := make([]CellResult, len(cells))
 	var (
 		mu  sync.Mutex // serializes onCell
@@ -62,11 +59,7 @@ func RunCells(cells []Cell, workers int, runFn func(Cell) (Result, error), onCel
 		go func(i int, c Cell) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r, err := runFn(c)
-			if err != nil {
-				err = fmt.Errorf("cell (%s, %s[%d]): %w", c.App, c.Model, c.Index, err)
-			}
-			out[i] = CellResult{Cell: c, Result: r, Err: err}
+			out[i] = RunCell(c, runFn)
 			if onCell != nil {
 				mu.Lock()
 				onCell(out[i])
@@ -76,6 +69,25 @@ func RunCells(cells []Cell, workers int, runFn func(Cell) (Result, error), onCel
 	}
 	wg.Wait()
 	return out
+}
+
+// RunCell executes one cell through runFn (nil means Run(c.Spec)) and
+// names the cell in its error. It is the per-cell step of RunCells, for
+// callers that schedule cells on a pool of their own.
+func RunCell(c Cell, runFn func(Cell) (Result, error)) CellResult {
+	var (
+		r   Result
+		err error
+	)
+	if runFn == nil {
+		r, err = Run(c.Spec)
+	} else {
+		r, err = runFn(c)
+	}
+	if err != nil {
+		err = fmt.Errorf("cell (%s, %s[%d]): %w", c.App, c.Model, c.Index, err)
+	}
+	return CellResult{Cell: c, Result: r, Err: err}
 }
 
 // JoinCellErrors folds every failed cell's error into one (nil when all
