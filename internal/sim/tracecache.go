@@ -84,6 +84,9 @@ func (tc *TraceCache) Get(workloadName string, n int, seed int64) (*trace.Trace,
 	p, err := workload.ByName(workloadName)
 	if err == nil {
 		e.tr = workload.Generate(p, n, seed)
+		// Generate hashed the ops as it produced them and sealed the
+		// result, so recording it here, before close(e.ready) publishes
+		// the trace, costs no second pass.
 		e.fp = e.tr.Fingerprint()
 	} else {
 		e.err = err

@@ -42,7 +42,7 @@ func Write(w io.Writer, t *Trace) error {
 	var n8 [8]byte
 	binary.LittleEndian.PutUint64(n8[:], uint64(len(t.Ops)))
 	bw.Write(n8[:])
-	var rec [30]byte
+	var rec [30]byte // one record, exactly the 30 bytes laid out above
 	for i := range t.Ops {
 		op := &t.Ops[i]
 		binary.LittleEndian.PutUint64(rec[0:], op.PC)
@@ -58,7 +58,6 @@ func Write(w io.Writer, t *Trace) error {
 		}
 		rec[21] = flags
 		binary.LittleEndian.PutUint64(rec[22:], op.Target)
-		// rec[30] unused padding kept at zero
 		if _, err := bw.Write(rec[:]); err != nil {
 			return err
 		}
@@ -100,12 +99,17 @@ func Read(r io.Reader) (*Trace, error) {
 	if count > maxOps {
 		return nil, fmt.Errorf("trace: implausible op count %d", count)
 	}
-	t := &Trace{Name: string(name), Ops: make([]isa.MicroOp, count)}
+	// The header is untrusted: allocate for at most readChunkOps up front
+	// and grow as records arrive, so a short file claiming 2^32 ops fails
+	// as truncated instead of reserving hundreds of gigabytes.
+	const readChunkOps = 1 << 12
+	t := &Trace{Name: string(name), Ops: make([]isa.MicroOp, 0, min(count, readChunkOps))}
 	var rec [30]byte
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {
 			return nil, fmt.Errorf("trace: truncated at op %d: %w", i, err)
 		}
+		t.Ops = append(t.Ops, isa.MicroOp{})
 		op := &t.Ops[i]
 		op.Seq = i
 		op.PC = binary.LittleEndian.Uint64(rec[0:])

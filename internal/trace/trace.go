@@ -5,6 +5,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"casino/internal/isa"
@@ -28,41 +29,80 @@ type Trace struct {
 
 // Fingerprint returns the trace's content hash, computing it on first use
 // and memoizing it — a Trace is immutable after construction, so the hash
-// is a stable identity (manifest builders call this once per figure). Code
-// that wants to *verify* immutability must use Refingerprint, which always
+// is a stable identity (manifest builders call this once per figure). A
+// trace built by Sealed returns the hash its builder computed. Code that
+// wants to *verify* immutability must use Refingerprint, which always
 // rehashes the ops.
 func (t *Trace) Fingerprint() uint64 {
 	t.fpOnce.Do(func() { t.fp = t.Refingerprint() })
 	return t.fp
 }
 
-// Refingerprint computes an FNV-1a hash over every architecturally relevant
-// field of every op, unconditionally. Two traces with equal fingerprints
-// replay identically; a changed fingerprint after a run means a core
-// violated the read-only contract.
-func (t *Trace) Refingerprint() uint64 {
-	h := uint64(1469598103934665603)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
+// Sealed returns a trace whose Fingerprint memo is already set to fp. The
+// caller vouches that fp == HashOps(FingerprintBasis, ops); a builder that
+// hashes ops while it produces them uses this to skip a second pass.
+func Sealed(name string, ops []isa.MicroOp, fp uint64) *Trace {
+	t := &Trace{Name: name, Ops: ops}
+	t.fpOnce.Do(func() { t.fp = fp })
+	return t
+}
+
+// Refingerprint computes the content hash of every op, unconditionally.
+// Two traces with equal fingerprints replay identically; a changed
+// fingerprint after a run means a core violated the read-only contract.
+func (t *Trace) Refingerprint() uint64 { return HashOps(FingerprintBasis, t.Ops) }
+
+// FingerprintBasis is the starting value of a trace fingerprint: the
+// 64-bit FNV-1a offset basis.
+const FingerprintBasis uint64 = 1469598103934665603
+
+const fnvPrime uint64 = 1099511628211
+
+// fnvPow[k] is fnvPrime^k mod 2^64. FNV-1a folds a byte b as
+// h = (h ^ b) * prime; for b == 0 the xor is a no-op, so a run of k zero
+// bytes is the single multiply h *= prime^k.
+var fnvPow = func() (p [9]uint64) {
+	p[0] = 1
+	for k := 1; k < len(p); k++ {
+		p[k] = p[k-1] * fnvPrime
 	}
-	for i := range t.Ops {
-		op := &t.Ops[i]
-		mix(op.Seq)
-		mix(op.PC)
-		mix(op.Addr)
-		mix(op.Target)
+	return p
+}()
+
+// HashOps folds ops into the running fingerprint h and returns the result:
+// byte-wise FNV-1a over every architecturally relevant field of every op,
+// each field as 8 little-endian bytes. Starting from FingerprintBasis,
+// hashing a trace in consecutive chunks gives the same value as hashing it
+// in one pass.
+func HashOps(h uint64, ops []isa.MicroOp) uint64 {
+	for i := range ops {
+		op := &ops[i]
 		b := uint64(op.Class) | uint64(op.Dst)<<8 | uint64(op.Src1)<<16 | uint64(op.Src2)<<24 |
 			uint64(op.Size)<<32
 		if op.Taken {
 			b |= 1 << 40
 		}
-		mix(b)
+		h = mixWord(mixWord(mixWord(mixWord(mixWord(h, op.Seq), op.PC), op.Addr), op.Target), b)
 	}
 	return h
+}
+
+// mixWord is byte-wise FNV-1a over the 8 little-endian bytes of v, with
+// each run of zero bytes folded into one multiply. The multiply that ends
+// a non-zero byte's step is deferred (e = 1) and merged with the next
+// run's, so each non-zero byte costs one xor and one multiply.
+func mixWord(h, v uint64) uint64 {
+	left, e := 8, 0
+	for v != 0 {
+		z := bits.TrailingZeros64(v) >> 3
+		h *= fnvPow[e+z]
+		v >>= 8 * z
+		h ^= v & 0xff
+		v >>= 8
+		left -= z + 1
+		e = 1
+	}
+	return h * fnvPow[e+left]
 }
 
 // Len returns the number of dynamic micro-ops.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -152,6 +154,27 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	raw2[4] = 0xFF
 	if _, err := Read(bytes.NewReader(raw2)); err == nil {
 		t.Error("bad version accepted")
+	}
+}
+
+// A header is untrusted input: one claiming 2^32 ops with no records behind
+// it must fail as truncated without reserving memory for the claim.
+func TestCodecHugeCountHeader(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &Trace{Name: "h"}); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	binary.LittleEndian.PutUint64(raw[len(raw)-8:], 1<<32)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated at op 0") {
+		t.Fatalf("Read = %v, want truncated at op 0", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
+		t.Errorf("Read allocated %d bytes for an empty body", got)
 	}
 }
 

@@ -84,7 +84,9 @@ const segmentOps = 2048
 // The returned trace is freshly allocated and owned by the caller until it
 // is published; once handed to a core or the sim trace cache it falls under
 // the trace package's read-only contract and may be shared across
-// goroutines without synchronisation.
+// goroutines without synchronisation. Its fingerprint is already sealed:
+// a helper goroutine hashes each finished segment while the next one is
+// generated.
 func Generate(p *Profile, n int, seed int64) *trace.Trace {
 	if n <= 0 {
 		n = 1
@@ -103,16 +105,30 @@ func Generate(p *Profile, n int, seed int64) *trace.Trace {
 	if totalW <= 0 {
 		panic(fmt.Sprintf("workload: profile %q has no weighted kernels", p.Name))
 	}
-	g.emitPreamble()
-	for len(g.ops) < n {
-		ks := g.pickKernel(totalW)
-		g.runSegment(ks)
-	}
-	t := &trace.Trace{Name: p.Name, Ops: g.ops}
-	for i := range t.Ops {
-		t.Ops[i].Seq = uint64(i)
-	}
-	return t
+	// The generator never writes an op again once its segment is sent, so
+	// the hasher may read it concurrently. After the preamble, every
+	// segment holds at least segmentOps ops, which bounds the sends by the
+	// buffer.
+	segs := make(chan []isa.MicroOp, n/segmentOps+2)
+	fp := make(chan uint64, 1)
+	go func() {
+		h := trace.FingerprintBasis
+		for s := range segs {
+			h = trace.HashOps(h, s)
+		}
+		fp <- h
+	}()
+	func() {
+		defer close(segs) // the hasher exits even if generation panics
+		g.emitPreamble()
+		segs <- g.ops
+		for len(g.ops) < n {
+			lo := len(g.ops)
+			g.runSegment(g.pickKernel(totalW))
+			segs <- g.ops[lo:]
+		}
+	}()
+	return trace.Sealed(p.Name, g.ops, <-fp)
 }
 
 func hashName(s string) uint64 {
@@ -137,13 +153,13 @@ func (g *generator) emitPreamble() {
 	const preambleBase = 0x3FF000
 	for i := 0; i < isa.NumIntRegs; i++ {
 		g.ops = append(g.ops, isa.MicroOp{
-			PC: preambleBase + uint64(i)*4, Class: isa.IntALU,
+			Seq: uint64(len(g.ops)), PC: preambleBase + uint64(i)*4, Class: isa.IntALU,
 			Dst: isa.IntReg(i), Src1: isa.RegNone, Src2: isa.RegNone,
 		})
 	}
 	for i := 0; i < isa.NumFPRegs; i++ {
 		g.ops = append(g.ops, isa.MicroOp{
-			PC: preambleBase + uint64(isa.NumIntRegs+i)*4, Class: isa.FPAdd,
+			Seq: uint64(len(g.ops)), PC: preambleBase + uint64(isa.NumIntRegs+i)*4, Class: isa.FPAdd,
 			Dst: isa.FPReg(i), Src1: isa.RegNone, Src2: isa.RegNone,
 		})
 	}
@@ -219,6 +235,7 @@ func fpDataReg(i int) isa.Reg {
 // emit appends a micro-op. PC is codeBase + 4*slot; slot identifies the
 // static instruction within the kernel so predictors see a stable layout.
 func (g *generator) emit(ks *kernelState, slot int, op isa.MicroOp) {
+	op.Seq = uint64(len(g.ops))
 	op.PC = ks.codeBase + uint64(slot)*4
 	g.ops = append(g.ops, op)
 }

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"casino/internal/isa"
 	"casino/internal/trace"
@@ -253,18 +255,38 @@ func TestGenerateTinyAndPanics(t *testing.T) {
 	Generate(&Profile{Name: "empty", Kernels: []Kernel{{Behavior: Stream, Weight: 0}}}, 10, 1)
 }
 
-func BenchmarkGenerate100k(b *testing.B) {
-	p, _ := ByName("mcf")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tr := Generate(p, 100000, 42)
-		if tr.Len() < 100000 {
-			b.Fatal("short trace")
+// A panic inside generation must still stop the segment hasher goroutine.
+func TestGeneratePanicStopsHasher(t *testing.T) {
+	bad := &Profile{Name: "bad", Kernels: []Kernel{{Behavior: numBehaviors, Weight: 1}}}
+	before := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("unknown behavior did not panic")
+				}
+			}()
+			Generate(bad, 1000, 1)
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d after panicking generations", before, runtime.NumGoroutine())
 		}
 	}
 }
 
-var _ = trace.Trace{} // keep import when benchmarks trimmed
+var sinkFP uint64
+
+// BenchmarkGenerate resolves one trace of the benchmark's length (60k
+// measured + 15k warm-up ops), fingerprint included.
+func BenchmarkGenerate(b *testing.B) {
+	p, _ := ByName("hmmer")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkFP = Generate(p, 75000, 1).Fingerprint()
+	}
+}
 
 // Indirect kernels emit a dispatch branch whose target varies among the
 // configured handler blocks, with consistent static layout.
