@@ -55,7 +55,7 @@ func randomOps(rng *rand.Rand, n int) []isa.MicroOp {
 			op.Class = isa.Branch
 			op.Dst, op.Src1, op.Src2 = isa.RegNone, intReg(), isa.RegNone
 			op.Taken = false
-			op.Target = pc + 64
+			op.Addr = pc + 64 // a branch's target
 		}
 		ops = append(ops, op)
 		pc += 4

@@ -17,9 +17,11 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"casino/internal/core"
 	"casino/internal/ino"
+	"casino/internal/isa"
 	"casino/internal/ooo"
 	"casino/internal/sim"
 	"casino/internal/slice"
@@ -63,6 +65,25 @@ type Grid struct {
 	Sampling *sim.Sampling `json:"sampling,omitempty"`
 }
 
+// Bounds on what one grid may ask of the service. Each admits every grid
+// in the tree with room to spare; a grid past one is refused before it is
+// expanded (HTTP 400 from casino-server) instead of being allocated.
+const (
+	// maxTraceBytes caps the trace a grid asks for, ops + warmup, stated
+	// as trace memory: 64 MiB of 32-byte ops is 2,097,152 ops per trace.
+	maxTraceBytes = 64 << 20
+	maxTraceOps   = maxTraceBytes / int(unsafe.Sizeof(isa.MicroOp{}))
+	// maxQueueSize caps every iq_sizes, sb_sizes, rob_sizes and
+	// osca_widths value: each sizes a structure the model allocates.
+	maxQueueSize = 1024
+	// maxWindow caps both members of a geometry point [WS, SO].
+	maxWindow = 64
+	// maxGridCells caps the product of the axis lengths (workloads ×
+	// models × geometries × each size axis), an upper bound on the number
+	// of cells the grid expands to.
+	maxGridCells = 4096
+)
+
 // dims says which sweep axes a model has. Inapplicable axes collapse to
 // the single default point during expansion.
 type dims struct{ geom, iq, sb, rob, osca bool }
@@ -101,13 +122,26 @@ func (g Grid) normalized() Grid {
 
 // Validate checks the grid without expanding it: model and workload names
 // must be known, dimension values positive, geometry points must satisfy
-// WS >= SO >= 1, and OSCA widths must be powers of two.
+// WS >= SO >= 1, and OSCA widths must be powers of two. The run length,
+// every axis value and the cell count must stay within the package caps.
 func (g Grid) Validate() error {
 	if len(g.Models) == 0 {
 		return fmt.Errorf("dse: grid lists no models")
 	}
 	if len(g.Workloads) == 0 {
 		return fmt.Errorf("dse: grid lists no workloads")
+	}
+	if n := g.normalized(); n.Ops > maxTraceOps || n.Warmup > maxTraceOps-n.Ops {
+		return fmt.Errorf("dse: ops + warmup = %d + %d: a trace may hold at most %d ops (%d MiB)",
+			n.Ops, n.Warmup, maxTraceOps, maxTraceBytes>>20)
+	}
+	cells := 1
+	for _, l := range []int{len(g.Workloads), len(g.Models), len(g.Geometries),
+		len(g.IQSizes), len(g.SBSizes), len(g.ROBSizes), len(g.OSCAWidths)} {
+		if cells *= max(l, 1); cells > maxGridCells {
+			return fmt.Errorf("dse: grid spans more than %d cells (workloads × models × geometries × "+
+				"iq_sizes × sb_sizes × rob_sizes × osca_widths)", maxGridCells)
+		}
 	}
 	for _, m := range g.Models {
 		if _, ok := modelDims(m); !ok {
@@ -120,22 +154,22 @@ func (g Grid) Validate() error {
 		}
 	}
 	for _, geo := range g.Geometries {
-		if geo[0] < 1 || geo[1] < 1 || geo[0] < geo[1] {
-			return fmt.Errorf("dse: geometry [%d,%d]: need WS >= SO >= 1", geo[0], geo[1])
+		if geo[0] < 1 || geo[1] < 1 || geo[0] < geo[1] || geo[0] > maxWindow {
+			return fmt.Errorf("dse: geometries value [%d,%d]: need %d >= WS >= SO >= 1", geo[0], geo[1], maxWindow)
 		}
 	}
 	for name, vals := range map[string][]int{
 		"iq_sizes": g.IQSizes, "sb_sizes": g.SBSizes, "rob_sizes": g.ROBSizes,
 	} {
 		for _, v := range vals {
-			if v < 1 {
-				return fmt.Errorf("dse: %s value %d: must be positive", name, v)
+			if v < 1 || v > maxQueueSize {
+				return fmt.Errorf("dse: %s value %d: must be in [1, %d]", name, v, maxQueueSize)
 			}
 		}
 	}
 	for _, v := range g.OSCAWidths {
-		if v < 1 || v&(v-1) != 0 {
-			return fmt.Errorf("dse: osca_widths value %d: must be a positive power of two", v)
+		if v < 1 || v&(v-1) != 0 || v > maxQueueSize {
+			return fmt.Errorf("dse: osca_widths value %d: must be a power of two in [1, %d]", v, maxQueueSize)
 		}
 	}
 	if g.Sampling != nil {
@@ -278,6 +312,9 @@ func (c Cell) Spec() (sim.Spec, error) {
 		cfg := specino.DefaultConfig(ws, so)
 		if c.IQ > 0 {
 			cfg.IQSize = c.IQ
+		}
+		if err := cfg.Validate(); err != nil {
+			return sim.Spec{}, fmt.Errorf("dse: cell %s: %w", c.Key(), err)
 		}
 		s.SpecInOCfg = &cfg
 	case sim.ModelInO:

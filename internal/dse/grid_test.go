@@ -1,11 +1,13 @@
 package dse
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 
 	"casino/internal/sim"
+	"casino/internal/workload"
 )
 
 func TestExpandDeterministicAndDeduplicated(t *testing.T) {
@@ -76,6 +78,96 @@ func TestGridValidation(t *testing.T) {
 	for i, g := range bad {
 		if _, err := g.Expand(); err == nil {
 			t.Errorf("grid %d accepted: %+v", i, g)
+		}
+	}
+}
+
+// seq returns the n values 1..n.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
+}
+
+// Each cap admits a grid just inside it and refuses one just outside it,
+// with an error naming the field.
+func TestGridCaps(t *testing.T) {
+	apps := func(n int) []string {
+		var out []string
+		for _, p := range workload.All()[:n] {
+			out = append(out, p.Name)
+		}
+		return out
+	}
+	base := func(f func(*Grid)) Grid {
+		g := Grid{Models: []string{"casino"}, Workloads: []string{"mcf"}, Ops: 1000, Warmup: 100}
+		f(&g)
+		return g
+	}
+	for _, tc := range []struct {
+		name   string
+		inside Grid
+		out    Grid
+		want   string
+	}{
+		{"ops+warmup",
+			base(func(g *Grid) { g.Ops, g.Warmup = maxTraceOps-1000, 1000 }),
+			base(func(g *Grid) { g.Ops, g.Warmup = maxTraceOps-1000, 1001 }), "ops + warmup"},
+		{"ops overflow",
+			base(func(g *Grid) { g.Ops, g.Warmup = maxTraceOps, -1 }),
+			base(func(g *Grid) { g.Ops, g.Warmup = math.MaxInt, math.MaxInt }), "ops + warmup"},
+		{"iq_sizes",
+			base(func(g *Grid) { g.IQSizes = []int{maxQueueSize} }),
+			base(func(g *Grid) { g.IQSizes = []int{maxQueueSize + 1} }), "iq_sizes"},
+		{"sb_sizes",
+			base(func(g *Grid) { g.SBSizes = []int{maxQueueSize} }),
+			base(func(g *Grid) { g.SBSizes = []int{maxQueueSize + 1} }), "sb_sizes"},
+		{"rob_sizes",
+			base(func(g *Grid) { g.ROBSizes = []int{maxQueueSize} }),
+			base(func(g *Grid) { g.ROBSizes = []int{maxQueueSize + 1} }), "rob_sizes"},
+		{"osca_widths",
+			base(func(g *Grid) { g.OSCAWidths = []int{maxQueueSize} }),
+			base(func(g *Grid) { g.OSCAWidths = []int{2 * maxQueueSize} }), "osca_widths"},
+		{"geometries",
+			base(func(g *Grid) { g.Geometries = [][2]int{{maxWindow, maxWindow}} }),
+			base(func(g *Grid) { g.Geometries = [][2]int{{maxWindow + 1, 1}} }), "geometries"},
+		{"cells",
+			base(func(g *Grid) { g.Models, g.Workloads, g.IQSizes = []string{"ino"}, apps(16), seq(maxGridCells/16) }),
+			base(func(g *Grid) { g.Models, g.Workloads, g.IQSizes = []string{"ino"}, apps(17), seq(241) }), "more than 4096 cells"},
+		{"specino iq",
+			base(func(g *Grid) { g.Models, g.IQSizes = []string{"specino"}, []int{64} }),
+			base(func(g *Grid) { g.Models, g.IQSizes = []string{"specino"}, []int{65} }), "IQSize 65"},
+	} {
+		if _, err := tc.inside.Expand(); err != nil {
+			t.Errorf("%s: grid just inside the cap refused: %v", tc.name, err)
+		}
+		if _, err := tc.out.Expand(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: grid just outside the cap: error %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// The caps admit every grid the repository ships or documents: the
+// benchmark's sweep catalogue extremes, the CI grids and the README and
+// EXPERIMENTS examples.
+func TestGridCapsAdmitInTreeGrids(t *testing.T) {
+	for i, g := range []Grid{
+		{Models: []string{"casino", "ooo", "specino"}, Workloads: []string{"gcc", "mcf", "hmmer"},
+			Ops: 40000, Warmup: 10000, IQSizes: []int{12, 64}, SBSizes: []int{8, 40},
+			ROBSizes: []int{64, 256}, Geometries: [][2]int{{2, 1}, {4, 4}}, Sampling: &sim.Sampling{}},
+		{Models: []string{"casino", "specino"}, Workloads: []string{"mcf", "milc"},
+			Ops: 60000, Warmup: 15000, Seed: 1, Geometries: [][2]int{{2, 1}, {4, 2}, {8, 4}}},
+		{Models: []string{"ino", "specino", "casino", "ooo"}, Workloads: []string{"mcf", "milc", "libquantum", "hmmer", "h264ref"},
+			Ops: 60000, Warmup: 15000, Seed: 1, Geometries: [][2]int{{2, 1}, {2, 2}, {4, 2}, {4, 4}, {8, 4}, {8, 8}}},
+		{Models: []string{"ino", "casino", "ooo"}, Workloads: []string{"mcf", "gcc"}, Ops: 6000, Warmup: 600, Seed: 1,
+			Sampling: &sim.Sampling{Period: 600, DetailOps: 150, WarmOps: 60}},
+		{Models: []string{"casino", "specino"}, Workloads: []string{"mcf"}, Ops: 20000, Warmup: 5000,
+			Geometries: [][2]int{{2, 1}, {4, 2}, {8, 4}}},
+	} {
+		if _, err := g.Expand(); err != nil {
+			t.Errorf("grid %d refused: %v", i, err)
 		}
 	}
 }

@@ -123,8 +123,9 @@ func TestServerErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(NewServer(e))
 	defer ts.Close()
 
-	// Malformed and invalid grids: 400.
-	for _, body := range []string{`{not json`, `{"models":["nope"],"workloads":["mcf"]}`, `{"models":["ino"],"workloads":["mcf"],"typo":1}`} {
+	// Malformed, invalid and over-cap grids: 400.
+	for _, body := range []string{`{not json`, `{"models":["nope"],"workloads":["mcf"]}`, `{"models":["ino"],"workloads":["mcf"],"typo":1}`,
+		`{"models":["ino"],"workloads":["mcf"],"ops":1099511627776}`, `{"models":["ooo"],"workloads":["mcf"],"rob_sizes":[1000000000]}`} {
 		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)

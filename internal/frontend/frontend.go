@@ -110,7 +110,7 @@ func (f *FrontEnd) Cycle(now int64) {
 			if f.acct != nil {
 				f.acct.BpredOps++
 			}
-			if correct := f.pred.OnBranch(op.PC, op.Taken, op.Target); !correct {
+			if correct := f.pred.OnBranch(op.PC, op.Taken, op.Target()); !correct {
 				f.Mispredicts++
 				f.blockedOn = op.Seq
 				return

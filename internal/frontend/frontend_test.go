@@ -78,7 +78,7 @@ func TestBufCapLimitsFetch(t *testing.T) {
 }
 
 func TestMispredictBlocksFetch(t *testing.T) {
-	br := isa.MicroOp{PC: 0x104, Class: isa.Branch, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Taken: true, Target: 0x200}
+	br := isa.MicroOp{PC: 0x104, Class: isa.Branch, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Taken: true, Addr: 0x200}
 	tr := mkTrace([]isa.MicroOp{alu(0x100), br, alu(0x200), alu(0x204)})
 	f := newFE(tr)
 	f.Cycle(0) // fetches alu + branch; cold branch mispredicts (no BTB entry)
@@ -167,7 +167,7 @@ func TestPredictedTakenBranchNoStall(t *testing.T) {
 	var ops []isa.MicroOp
 	for i := 0; i < 50; i++ {
 		ops = append(ops, alu(0x100),
-			isa.MicroOp{PC: 0x104, Class: isa.Branch, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Taken: true, Target: 0x100})
+			isa.MicroOp{PC: 0x104, Class: isa.Branch, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Taken: true, Addr: 0x100})
 	}
 	f := newFE(mkTrace(ops))
 	var c int64

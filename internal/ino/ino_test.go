@@ -156,7 +156,7 @@ func TestBranchResolutionUnblocksFetch(t *testing.T) {
 	// A mispredicting branch must not deadlock the machine.
 	ops := []isa.MicroOp{
 		alu(isa.IntReg(1), isa.RegNone),
-		{Class: isa.Branch, Dst: isa.RegNone, Src1: isa.IntReg(1), Src2: isa.RegNone, Taken: true, Target: 0x2000, PC: 0x1004},
+		{Class: isa.Branch, Dst: isa.RegNone, Src1: isa.IntReg(1), Src2: isa.RegNone, Taken: true, Addr: 0x2000, PC: 0x1004},
 		{Class: isa.IntALU, Dst: isa.IntReg(2), Src1: isa.RegNone, Src2: isa.RegNone, PC: 0x2000},
 		{Class: isa.IntALU, Dst: isa.IntReg(3), Src1: isa.RegNone, Src2: isa.RegNone, PC: 0x2004},
 	}

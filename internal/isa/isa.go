@@ -168,20 +168,29 @@ func (r Reg) String() string {
 // MicroOp is one dynamic instruction in a trace.
 //
 // Seq is the dynamic sequence number (program order). For memory ops, Addr
-// and Size give the effective byte range. For branches, Taken and Target
+// and Size give the effective byte range. For branches, Taken and Addr
 // record the resolved outcome that the front end's predictor is checked
-// against.
+// against: a branch has no memory address, so Addr holds its target (read
+// it through Target). The fields are ordered so the struct packs into 32
+// bytes: three words, then six one-byte fields and two bytes of padding.
 type MicroOp struct {
-	Seq    uint64
-	PC     uint64
-	Class  Class
-	Dst    Reg // RegNone if no register result
-	Src1   Reg // RegNone if absent
-	Src2   Reg // RegNone if absent
-	Addr   uint64
-	Size   uint8
-	Taken  bool
-	Target uint64
+	Seq   uint64
+	PC    uint64
+	Addr  uint64 // effective address (Load, Store) or resolved target (Branch)
+	Class Class
+	Dst   Reg // RegNone if no register result
+	Src1  Reg // RegNone if absent
+	Src2  Reg // RegNone if absent
+	Size  uint8
+	Taken bool
+}
+
+// Target returns a branch's resolved target, or 0 for any other op.
+func (u *MicroOp) Target() uint64 {
+	if u.Class == Branch {
+		return u.Addr
+	}
+	return 0
 }
 
 // HasDst reports whether the op writes a register.
@@ -204,7 +213,7 @@ func (u *MicroOp) String() string {
 		s += fmt.Sprintf(" addr=%#x/%d", u.Addr, u.Size)
 	}
 	if u.Class == Branch {
-		s += fmt.Sprintf(" taken=%v target=%#x", u.Taken, u.Target)
+		s += fmt.Sprintf(" taken=%v target=%#x", u.Taken, u.Addr)
 	}
 	return s
 }

@@ -3,6 +3,7 @@ package isa
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestClassString(t *testing.T) {
@@ -139,7 +140,7 @@ func TestMicroOpString(t *testing.T) {
 			t.Errorf("String() = %q missing %q", s, frag)
 		}
 	}
-	b := &MicroOp{Class: Branch, Dst: RegNone, Src1: RegNone, Src2: RegNone, Taken: true, Target: 0x500}
+	b := &MicroOp{Class: Branch, Dst: RegNone, Src1: RegNone, Src2: RegNone, Taken: true, Addr: 0x500}
 	if !contains(b.String(), "taken=true") {
 		t.Errorf("branch String() = %q missing outcome", b.String())
 	}
@@ -152,4 +153,20 @@ func contains(s, sub string) bool {
 		}
 	}
 	return false
+}
+
+// Traces hold millions of ops: MicroOp must stay three words plus its
+// one-byte fields, with a branch's target carried in Addr.
+func TestMicroOpLayout(t *testing.T) {
+	if got := unsafe.Sizeof(MicroOp{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(MicroOp{}) = %d, want 32", got)
+	}
+	br := MicroOp{Class: Branch, Addr: 0x500}
+	ld := MicroOp{Class: Load, Addr: 0x1000, Size: 8}
+	if br.Target() != 0x500 || ld.Target() != 0 {
+		t.Errorf("Target() = %#x (branch), %#x (load); want 0x500, 0", br.Target(), ld.Target())
+	}
+	if !contains(br.String(), "target=0x500") || contains(ld.String(), "target") {
+		t.Errorf("String() = %q, %q", br.String(), ld.String())
+	}
 }

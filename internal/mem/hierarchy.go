@@ -215,6 +215,8 @@ func (h *Hierarchy) writebackToL2(wb bool, victim uint64) {
 	}
 }
 
+// trainPrefetcher issues the prefetches of one L1D miss. It is done with
+// Train's buffer before it returns, so the buffer can be reused.
 func (h *Hierarchy) trainPrefetcher(pc, addr uint64, t int64) {
 	for _, pa := range h.pf.Train(pc, addr) {
 		if h.L2.Probe(pa) {

@@ -387,3 +387,40 @@ func TestHierarchyReset(t *testing.T) {
 		t.Error("Reset left cache contents behind")
 	}
 }
+
+// loadMissStream returns one step of a strided miss stream: every call is
+// a Load from a new line, one page past the previous, so each misses the
+// L1D and, once the stride is learned, trains the prefetcher confidently.
+func loadMissStream(h *Hierarchy) func() {
+	addr, now := uint64(1<<20), int64(0)
+	return func() {
+		addr += 4096
+		now += 200
+		h.Load(0x400, addr, now)
+	}
+}
+
+// The L1D-miss path, prefetches included, must not allocate.
+func TestHierarchyLoadMissNoAllocs(t *testing.T) {
+	h := NewHierarchy(DefaultConfig())
+	step := loadMissStream(h)
+	for i := 0; i < 8; i++ {
+		step()
+	}
+	issued := h.pf.Issued
+	if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+		t.Errorf("strided L1D misses allocate %.1f times per Load", allocs)
+	}
+	if h.pf.Issued < issued+2000 {
+		t.Errorf("prefetcher issued %d prefetches over 1001 confident misses, want 2 each", h.pf.Issued-issued)
+	}
+}
+
+func BenchmarkHierarchyLoadMiss(b *testing.B) {
+	h := NewHierarchy(DefaultConfig())
+	step := loadMissStream(h)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

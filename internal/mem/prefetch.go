@@ -6,6 +6,7 @@ package mem
 type StridePrefetcher struct {
 	entries []pfEntry
 	degree  int
+	out     []uint64 // Train's result, reused: capacity degree
 
 	Trained uint64
 	Issued  uint64
@@ -24,11 +25,12 @@ func NewStridePrefetcher(degree int) *StridePrefetcher {
 	if degree < 1 {
 		degree = 1
 	}
-	return &StridePrefetcher{entries: make([]pfEntry, 256), degree: degree}
+	return &StridePrefetcher{entries: make([]pfEntry, 256), degree: degree, out: make([]uint64, 0, degree)}
 }
 
 // Train observes a demand access (pc, addr) and returns the addresses that
-// should be prefetched (possibly none).
+// should be prefetched (possibly none). The slice is the prefetcher's own
+// buffer: it is valid until the next call to Train.
 func (p *StridePrefetcher) Train(pc, addr uint64) []uint64 {
 	p.Trained++
 	e := &p.entries[(pc>>2)%uint64(len(p.entries))]
@@ -49,7 +51,7 @@ func (p *StridePrefetcher) Train(pc, addr uint64) []uint64 {
 	if e.conf < 2 {
 		return nil
 	}
-	out := make([]uint64, 0, p.degree)
+	out := p.out[:0]
 	for i := 1; i <= p.degree; i++ {
 		a := int64(addr) + e.stride*int64(i)
 		if a > 0 {

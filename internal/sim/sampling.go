@@ -190,7 +190,7 @@ func (w *warmer) replay(n int) int {
 		case isa.Store:
 			w.vt += hier.WarmStore(op.PC, op.Addr, w.vt)
 		case isa.Branch:
-			pred.OnBranch(op.PC, op.Taken, op.Target)
+			pred.OnBranch(op.PC, op.Taken, op.Target())
 			if op.Taken {
 				w.haveLine = false
 			}

@@ -8,6 +8,7 @@
 package specino
 
 import (
+	"fmt"
 	"math/bits"
 	"os"
 
@@ -41,6 +42,17 @@ type Config struct {
 // DefaultConfig returns SpecInO[2,1] over the Table I in-order machine.
 func DefaultConfig(ws, so int) Config {
 	return Config{Width: 2, IQSize: 16, WS: ws, SO: so, FrontDepth: 5}
+}
+
+// Validate reports a configuration New would reject.
+func (c Config) Validate() error {
+	if c.WS < 1 || c.SO < 1 {
+		return fmt.Errorf("specino: WS and SO must be positive")
+	}
+	if c.IQSize < 1 || c.IQSize > 64 {
+		return fmt.Errorf("specino: IQSize %d must be in [1,64] — the issue mask is one dense uint64 word", c.IQSize)
+	}
+	return nil
 }
 
 // Core is the idealized SpecInO machine.
@@ -115,11 +127,8 @@ func New(cfg Config, tr *trace.Trace, hier *mem.Hierarchy, acct *energy.Accounta
 // fresh one. The sampled-simulation driver uses it to open detailed windows
 // mid-trace against warmed shared state.
 func NewAt(cfg Config, tr *trace.Trace, start int, pred *bpred.Predictor, hier *mem.Hierarchy, acct *energy.Accountant) *Core {
-	if cfg.WS < 1 || cfg.SO < 1 {
-		panic("specino: WS and SO must be positive")
-	}
-	if cfg.IQSize < 1 || cfg.IQSize > 64 {
-		panic("specino: IQSize must be in [1,64] — the issue mask is one dense uint64 word")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	c := &Core{cfg: cfg, hier: hier, fus: pipeline.ScaledFUPool(cfg.Width), acct: acct}
 	q := cfg.IQSize

@@ -16,7 +16,9 @@ import (
 //	count records of: u64 pc | u8 class | u8 dst | u8 src1 | u8 src2 |
 //	                  u64 addr | u8 size | u8 flags | u64 target
 //
-// Seq is implied by record position. flags bit0 = branch taken.
+// Seq is implied by record position. flags bit0 = branch taken. A branch
+// has addr 0 and every other op has target 0; Read rejects a record that
+// breaks this, since MicroOp keeps both values in its one Addr field.
 const (
 	codecMagic   = "CSNT"
 	codecVersion = 1
@@ -50,14 +52,15 @@ func Write(w io.Writer, t *Trace) error {
 		rec[9] = byte(op.Dst)
 		rec[10] = byte(op.Src1)
 		rec[11] = byte(op.Src2)
-		binary.LittleEndian.PutUint64(rec[12:], op.Addr)
+		addr, target := addrTarget(op)
+		binary.LittleEndian.PutUint64(rec[12:], addr)
 		rec[20] = op.Size
 		var flags byte
 		if op.Taken {
 			flags |= 1
 		}
 		rec[21] = flags
-		binary.LittleEndian.PutUint64(rec[22:], op.Target)
+		binary.LittleEndian.PutUint64(rec[22:], target)
 		if _, err := bw.Write(rec[:]); err != nil {
 			return err
 		}
@@ -120,7 +123,15 @@ func Read(r io.Reader) (*Trace, error) {
 		op.Addr = binary.LittleEndian.Uint64(rec[12:])
 		op.Size = rec[20]
 		op.Taken = rec[21]&1 != 0
-		op.Target = binary.LittleEndian.Uint64(rec[22:])
+		target := binary.LittleEndian.Uint64(rec[22:])
+		switch {
+		case op.Class == isa.Branch && op.Addr != 0:
+			return nil, fmt.Errorf("trace: op %d is a Branch with address %#x", i, op.Addr)
+		case op.Class == isa.Branch:
+			op.Addr = target
+		case target != 0:
+			return nil, fmt.Errorf("trace: op %d is a %s with branch target %#x", i, op.Class, target)
+		}
 	}
 	return t, t.Validate()
 }

@@ -2,8 +2,10 @@ package trace_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
+	"casino/internal/isa"
 	"casino/internal/trace"
 	"casino/internal/workload"
 )
@@ -26,6 +28,29 @@ func TestGeneratedFingerprintSealed(t *testing.T) {
 						p.Name, n, seed, fp, re, oracle)
 				}
 			}
+		}
+	}
+}
+
+// Every profile's trace survives Write and Read with identical ops and
+// fingerprint: the codec carries a branch's Addr in the record's target
+// field and back.
+func TestCodecRoundTripAllProfiles(t *testing.T) {
+	for _, p := range workload.All() {
+		tr := workload.Generate(p, 20000, 3)
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, tr); err != nil {
+			t.Fatalf("%s: Write: %v", p.Name, err)
+		}
+		back, err := trace.Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: Read: %v", p.Name, err)
+		}
+		if !slices.Equal(back.Ops, tr.Ops) {
+			t.Fatalf("%s: ops changed in the round trip", p.Name)
+		}
+		if back.Fingerprint() != tr.Fingerprint() {
+			t.Fatalf("%s: fingerprint %#x became %#x", p.Name, tr.Fingerprint(), back.Fingerprint())
 		}
 	}
 }
@@ -69,6 +94,18 @@ func FuzzTraceRead(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(append([]byte("NOPE"), good[4:]...))
+	// A branch record with its address field set: Read must reject it.
+	var one bytes.Buffer
+	br := isa.MicroOp{Class: isa.Branch, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone, Taken: true, Addr: 0x40}
+	if err := trace.Write(&one, &trace.Trace{Name: "b", Ops: []isa.MicroOp{br}}); err != nil {
+		f.Fatal(err)
+	}
+	mixed := one.Bytes()
+	mixed[len(mixed)-30+12] = 1
+	if _, err := trace.Read(bytes.NewReader(mixed)); err == nil {
+		f.Fatal("branch record with an address accepted")
+	}
+	f.Add(mixed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Read(bytes.NewReader(data))
 		if err != nil {

@@ -71,9 +71,9 @@ var fnvPow = func() (p [9]uint64) {
 
 // HashOps folds ops into the running fingerprint h and returns the result:
 // byte-wise FNV-1a over every architecturally relevant field of every op,
-// each field as 8 little-endian bytes. Starting from FingerprintBasis,
-// hashing a trace in consecutive chunks gives the same value as hashing it
-// in one pass.
+// each field as 8 little-endian bytes (the address and the target as two,
+// see addrTarget). Starting from FingerprintBasis, hashing a trace in
+// consecutive chunks gives the same value as hashing it in one pass.
 func HashOps(h uint64, ops []isa.MicroOp) uint64 {
 	for i := range ops {
 		op := &ops[i]
@@ -82,9 +82,19 @@ func HashOps(h uint64, ops []isa.MicroOp) uint64 {
 		if op.Taken {
 			b |= 1 << 40
 		}
-		h = mixWord(mixWord(mixWord(mixWord(mixWord(h, op.Seq), op.PC), op.Addr), op.Target), b)
+		addr, target := addrTarget(op)
+		h = mixWord(mixWord(mixWord(mixWord(mixWord(h, op.Seq), op.PC), addr), target), b)
 	}
 	return h
+}
+
+// addrTarget splits op.Addr into the (memory address, branch target) pair
+// that the fingerprint and the codec keep as two fields, one of them zero.
+func addrTarget(op *isa.MicroOp) (addr, target uint64) {
+	if op.Class == isa.Branch {
+		return 0, op.Addr
+	}
+	return op.Addr, 0
 }
 
 // mixWord is byte-wise FNV-1a over the 8 little-endian bytes of v, with

@@ -17,7 +17,7 @@ func sampleTrace() *Trace {
 		{Seq: 1, PC: 0x104, Class: isa.Load, Dst: isa.IntReg(3), Src1: isa.IntReg(1), Src2: isa.RegNone, Addr: 0x1000, Size: 8},
 		{Seq: 2, PC: 0x108, Class: isa.Store, Dst: isa.RegNone, Src1: isa.IntReg(3), Src2: isa.IntReg(1), Addr: 0x2000, Size: 4},
 		{Seq: 3, PC: 0x10c, Class: isa.FPMul, Dst: isa.FPReg(0), Src1: isa.FPReg(1), Src2: isa.FPReg(2)},
-		{Seq: 4, PC: 0x110, Class: isa.Branch, Dst: isa.RegNone, Src1: isa.IntReg(1), Src2: isa.RegNone, Taken: true, Target: 0x100},
+		{Seq: 4, PC: 0x110, Class: isa.Branch, Dst: isa.RegNone, Src1: isa.IntReg(1), Src2: isa.RegNone, Taken: true, Addr: 0x100},
 	}
 	return &Trace{Name: "sample", Ops: ops}
 }
@@ -178,19 +178,66 @@ func TestCodecHugeCountHeader(t *testing.T) {
 	}
 }
 
+// sampleRecords encodes sampleTrace and returns the file and the offset of
+// its first 30-byte op record.
+func sampleRecords(t *testing.T) ([]byte, int) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Write(&buf, sampleTrace()); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	return raw, len(raw) - 30*len(sampleTrace().Ops)
+}
+
+// The record keeps a memory address at rec[12:] and a branch target at
+// rec[22:], as it did before MicroOp folded the two into Addr, so files
+// written then decode to the same ops.
+func TestCodecRecordLayout(t *testing.T) {
+	raw, hdr := sampleRecords(t)
+	for _, tc := range []struct {
+		op           int
+		addr, target uint64
+	}{{1, 0x1000, 0}, {2, 0x2000, 0}, {4, 0, 0x100}} {
+		rec := raw[hdr+30*tc.op:]
+		if a, tg := binary.LittleEndian.Uint64(rec[12:]), binary.LittleEndian.Uint64(rec[22:]); a != tc.addr || tg != tc.target {
+			t.Errorf("op %d: address field %#x, target field %#x; want %#x, %#x", tc.op, a, tg, tc.addr, tc.target)
+		}
+	}
+}
+
+// A record whose class does not use the field it sets is corrupt: Read
+// names the op instead of letting the value alias the other field.
+func TestCodecRejectsMixedAddrTarget(t *testing.T) {
+	raw, hdr := sampleRecords(t)
+	for _, tc := range []struct {
+		op, field int
+		want      string
+	}{
+		{4, 12, "op 4 is a Branch with address 0x1"},
+		{1, 22, "op 1 is a Load with branch target 0x1"},
+		{0, 22, "op 0 is a IntALU with branch target 0x1"},
+	} {
+		bad := append([]byte(nil), raw...)
+		bad[hdr+30*tc.op+tc.field] = 1
+		if _, err := Read(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Read = %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestCodecPropertyRoundTrip(t *testing.T) {
-	f := func(pc, addr, target uint64, class, dst, s1, s2, size uint8, taken bool) bool {
+	f := func(pc, addr uint64, class, dst, s1, s2, size uint8, taken bool) bool {
 		op := isa.MicroOp{
-			Seq:    0,
-			PC:     pc,
-			Class:  isa.Class(class % uint8(isa.NumClasses)),
-			Dst:    isa.Reg(dst % isa.NumArchRegs),
-			Src1:   isa.Reg(s1 % isa.NumArchRegs),
-			Src2:   isa.Reg(s2 % isa.NumArchRegs),
-			Addr:   addr,
-			Size:   size%16 + 1,
-			Taken:  taken,
-			Target: target,
+			Seq:   0,
+			PC:    pc,
+			Class: isa.Class(class % uint8(isa.NumClasses)),
+			Dst:   isa.Reg(dst % isa.NumArchRegs),
+			Src1:  isa.Reg(s1 % isa.NumArchRegs),
+			Src2:  isa.Reg(s2 % isa.NumArchRegs),
+			Addr:  addr,
+			Size:  size%16 + 1,
+			Taken: taken,
 		}
 		tr := &Trace{Name: "p", Ops: []isa.MicroOp{op}}
 		var buf bytes.Buffer

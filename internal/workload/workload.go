@@ -271,12 +271,12 @@ func (g *generator) runSegment(ks *kernelState) {
 // taken=false on the final iteration of a segment (fall out of the loop).
 func (g *generator) loopBranch(ks *kernelState, slot int, taken bool) {
 	g.emit(ks, slot, isa.MicroOp{
-		Class:  isa.Branch,
-		Dst:    isa.RegNone,
-		Src1:   regInduction,
-		Src2:   isa.RegNone,
-		Taken:  taken,
-		Target: ks.codeBase,
+		Class: isa.Branch,
+		Dst:   isa.RegNone,
+		Src1:  regInduction,
+		Src2:  isa.RegNone,
+		Taken: taken,
+		Addr:  ks.codeBase,
 	})
 }
 
@@ -463,7 +463,7 @@ func (g *generator) iterBranchy(ks *kernelState, last bool) {
 	taken := g.rng.Float64() < k.TakenProb
 	blockLen := 3 + k.OpsPerMem
 	target := ks.codeBase + uint64(slot+1+blockLen)*4
-	g.emit(ks, slot, isa.MicroOp{Class: isa.Branch, Dst: isa.RegNone, Src1: cond, Src2: isa.RegNone, Taken: taken, Target: target})
+	g.emit(ks, slot, isa.MicroOp{Class: isa.Branch, Dst: isa.RegNone, Src1: cond, Src2: isa.RegNone, Taken: taken, Addr: target})
 	slot++
 	if !taken {
 		slot = g.computeOps(ks, slot, blockLen, cond, false)
@@ -557,12 +557,12 @@ func (g *generator) iterIndirect(ks *kernelState, last bool) {
 	handlerSlot := func(t int) int { return 2 + t*(blockLen+1) }
 	tailSlot := handlerSlot(targets)
 	g.emit(ks, slot, isa.MicroOp{Class: isa.Branch, Dst: isa.RegNone, Src1: sel, Src2: isa.RegNone,
-		Taken: true, Target: ks.codeBase + uint64(handlerSlot(pick))*4})
+		Taken: true, Addr: ks.codeBase + uint64(handlerSlot(pick))*4})
 	// Emit only the taken handler's dynamic ops at its static slots.
 	hs := handlerSlot(pick)
 	hs = g.computeOps(ks, hs, blockLen, sel, k.FP)
 	g.emit(ks, hs, isa.MicroOp{Class: isa.Branch, Dst: isa.RegNone, Src1: isa.RegNone, Src2: isa.RegNone,
-		Taken: true, Target: ks.codeBase + uint64(tailSlot)*4})
+		Taken: true, Addr: ks.codeBase + uint64(tailSlot)*4})
 	slot = tailSlot
 	g.emit(ks, slot, isa.MicroOp{Class: isa.IntALU, Dst: regInduction, Src1: regInduction, Src2: isa.RegNone})
 	slot++

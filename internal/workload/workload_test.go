@@ -227,7 +227,7 @@ func TestBranchTargetConsistency(t *testing.T) {
 				continue
 			}
 			next := tr.Ops[i+1].PC
-			if op.Taken && next != op.Target {
+			if op.Taken && next != op.Target() {
 				// Kernel switches at segment boundaries legitimately jump
 				// to another kernel's code; only count same-region breaks.
 				if next>>20 == op.PC>>20 {
@@ -301,10 +301,10 @@ func TestIndirectDispatchStructure(t *testing.T) {
 		if op.Class != isa.Branch || !op.Taken {
 			continue
 		}
-		if tr.Ops[i+1].PC != op.Target && tr.Ops[i+1].PC>>20 == op.PC>>20 {
-			t.Fatalf("branch %d target %#x but successor at %#x", i, op.Target, tr.Ops[i+1].PC)
+		if tr.Ops[i+1].PC != op.Target() && tr.Ops[i+1].PC>>20 == op.PC>>20 {
+			t.Fatalf("branch %d target %#x but successor at %#x", i, op.Target(), tr.Ops[i+1].PC)
 		}
-		targets[op.Target]++
+		targets[op.Target()]++
 	}
 	// The dispatch should exercise several distinct targets.
 	if len(targets) < 4 {
@@ -331,10 +331,10 @@ func TestIndirectStressesBTB(t *testing.T) {
 			if op.Class != isa.Branch || !op.Taken {
 				continue
 			}
-			if prev, ok := last[op.PC]; ok && prev != op.Target {
+			if prev, ok := last[op.PC]; ok && prev != op.Target() {
 				n++
 			}
-			last[op.PC] = op.Target
+			last[op.PC] = op.Target()
 		}
 		return n
 	}
